@@ -31,7 +31,6 @@ from .kauffman import (
     torus_states_with_gradings,
 )
 from .longitude import (
-    LongitudeGenerator,
     build_hfl_complex,
     epsilon,
     hfl_closed_form,
@@ -45,6 +44,7 @@ from .satellite import (
     satellite_alexander,
     torus_alexander,
     whitehead_closed_form,
+    whitehead_from_hfl,
     whitehead_hfk_one,
 )
 
@@ -74,7 +74,6 @@ __all__ = [
     "torus_state_complex",
     "torus_state_gradings",
     "torus_states_with_gradings",
-    "LongitudeGenerator",
     "build_hfl_complex",
     "epsilon",
     "hfl_closed_form",
@@ -86,6 +85,7 @@ __all__ = [
     "satellite_alexander",
     "torus_alexander",
     "whitehead_closed_form",
+    "whitehead_from_hfl",
     "whitehead_hfk_one",
     "__version__",
 ]

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any
 
-from .complexes import HomologyTable, euler_characteristic, homology
+from .complexes import euler_characteristic, homology
 from .halfint import HalfInt
 from .kauffman import (
     PlanarDiagram,
@@ -40,6 +40,7 @@ from .satellite import (
     satellite_alexander,
     torus_alexander,
     whitehead_closed_form,
+    whitehead_from_hfl,
     whitehead_hfk_one,
 )
 
@@ -122,10 +123,6 @@ def _poly_json(p: LaurentPoly) -> dict[str, Any]:
     }
 
 
-def _table_json(table: HomologyTable) -> list[dict[str, Any]]:
-    return table.to_json_list()
-
-
 def _check(name: str, passed: bool, detail: str = "") -> dict[str, Any]:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
@@ -152,18 +149,17 @@ def cmd_hfl(args: argparse.Namespace) -> tuple[ReportDocument, int]:
     n = _require_positive(args.n, "--n")
     wanted = _parse_spinc(args.spinc) if args.spinc else None
 
-    computed = hfl_compute(n)
     closed = hfl_closed_form(n)
-    if wanted is not None:
-        computed = computed.restrict(wanted)
+    result: dict[str, Any] = {}
+    if wanted is None:
+        computed = hfl_compute(n)
+    else:
+        cx = build_hfl_complex(n, wanted)
+        computed = homology(cx)
         closed = closed.restrict(wanted)
-
-    result: dict[str, Any] = {
-        "computed": _table_json(computed),
-        "closed_form": _table_json(closed),
-    }
-    if wanted is not None:
-        result["complex"] = build_hfl_complex(n, wanted).to_json_dict()
+        result["complex"] = cx.to_json_dict()
+    result["computed"] = computed.to_json_list()
+    result["closed_form"] = closed.to_json_list()
 
     agreement = computed == closed
     report = ReportDocument(
@@ -197,7 +193,7 @@ def cmd_whitehead(args: argparse.Namespace) -> tuple[ReportDocument, int]:
         command="whitehead",
         inputs={"n": n},
         result={
-            "table": _table_json(computed),
+            "table": computed.to_json_list(),
             "ranks_by_maslov": ranks,
         },
         checks=[
@@ -264,9 +260,9 @@ def cmd_kauffman(args: argparse.Namespace) -> tuple[ReportDocument, int]:
     if args.pd:
         try:
             diagram = PlanarDiagram.from_text(args.pd)
+            states = enumerate_states(diagram)  # rejects non-planar codes
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        states = enumerate_states(diagram)
         result: dict[str, Any] = {
             "pd": diagram.to_text(),
             "crossings": diagram.n_crossings,
@@ -327,10 +323,11 @@ def run_verification(max_n: int) -> list[dict[str, Any]]:
     """The one-shot suite: per-n checks against the published answers."""
     checks: list[dict[str, Any]] = []
     for n in range(1, max_n + 1):
+        table = hfl_compute(n)
         closed = hfl_closed_form(n)
         failing = None
         for s in spinc_classes(n):
-            if homology(build_hfl_complex(n, s)) != closed.restrict(s):
+            if table.restrict(s) != closed.restrict(s):
                 failing = s
                 break
         checks.append(
@@ -356,14 +353,14 @@ def run_verification(max_n: int) -> list[dict[str, Any]]:
             )
         )
 
-        checks.append(_check(f"symmetry[n={n}]", verify_symmetry(n)))
+        checks.append(_check(f"symmetry[n={n}]", verify_symmetry(n, table)))
         checks.append(
-            _check(f"genus_fibered[n={n}]", verify_genus_and_fibered(n))
+            _check(f"genus_fibered[n={n}]", verify_genus_and_fibered(n, table))
         )
         checks.append(
             _check(
                 f"whitehead_table[n={n}]",
-                whitehead_hfk_one(n) == whitehead_closed_form(n),
+                whitehead_from_hfl(table) == whitehead_closed_form(n),
             )
         )
     return checks

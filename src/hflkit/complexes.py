@@ -27,7 +27,8 @@ from .matrices import IntMatrix, smith_normal_form
 
 
 class MalformedComplexError(ValueError):
-    """The differential breaks a grading rule or does not square to zero."""
+    """A malformed complex document, or a differential that breaks a grading
+    rule or does not square to zero."""
 
 
 class Generator(NamedTuple):
@@ -102,17 +103,42 @@ class GradedComplex:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> GradedComplex:
-        gens = [
-            Generator(
-                label=g["label"],
-                spinc=HalfInt.from_twice(g["spinc"]["twice"]),
-                maslov=HalfInt.from_twice(g["maslov"]["twice"]),
-            )
-            for g in doc["generators"]
-        ]
+        """Inverse of to_json_dict; raises MalformedComplexError on a bad document."""
+        try:
+            gens = [
+                Generator(
+                    label=g["label"],
+                    spinc=HalfInt.from_twice(g["spinc"]["twice"]),
+                    maslov=HalfInt.from_twice(g["maslov"]["twice"]),
+                )
+                for g in doc["generators"]
+            ]
+            triplets = doc["differential"]
+        except KeyError as exc:
+            raise MalformedComplexError(f"complex is missing the field {exc}") from None
         n = len(gens)
         entries = [[0] * n for _ in range(n)]
-        for r, c, value in doc["differential"]:
+        seen = set()
+        for triplet in triplets:
+            if (
+                not isinstance(triplet, (list, tuple))
+                or len(triplet) != 3
+                or not all(type(x) is int for x in triplet)  # no bool, no float
+            ):
+                raise MalformedComplexError(
+                    f"differential entry {triplet!r} is not an integer triplet"
+                )
+            r, c, value = triplet
+            if not (0 <= r < n and 0 <= c < n):
+                raise MalformedComplexError(
+                    f"differential entry {triplet!r} is out of range "
+                    f"for {n} generators"
+                )
+            if (r, c) in seen:
+                raise MalformedComplexError(
+                    f"differential entry ({r}, {c}) is given twice"
+                )
+            seen.add((r, c))
             entries[r][c] = value
         return cls(gens, IntMatrix(entries, cols=n))
 

@@ -23,8 +23,6 @@ classes with |s| > n - 1/2 are trivial (the complex itself is empty).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import (
     Generator,
     GradedComplex,
@@ -34,39 +32,6 @@ from .complexes import (
 )
 from .halfint import HalfInt
 from .matrices import IntMatrix
-
-
-@dataclass(frozen=True)
-class LongitudeGenerator:
-    """A generator x(i,j) or y(i,j); i is the winding index, j the state index."""
-
-    kind: str  # "x" or "y"
-    i: int
-    j: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("x", "y"):
-            raise ValueError(f"kind must be 'x' or 'y', got {self.kind!r}")
-        if self.i < 1:
-            raise ValueError(f"winding index must be >= 1, got {self.i}")
-        if not 1 <= self.j <= 2 * self.n + 1:
-            raise ValueError(
-                f"state index must be in [1, {2 * self.n + 1}], got {self.j}"
-            )
-
-    @property
-    def spinc(self) -> HalfInt:
-        return HalfInt.from_twice(2 * (self.j - self.i - self.n) - 1)
-
-    @property
-    def maslov(self) -> HalfInt:
-        base = 2 * (self.j - self.n) - 3
-        return HalfInt.from_twice(base if self.kind == "x" else -base)
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind}({self.i},{self.j})"
 
 
 def spinc_classes(n: int) -> list[HalfInt]:
@@ -88,23 +53,23 @@ def build_hfl_complex(n: int, s: HalfInt) -> GradedComplex:
         return GradedComplex((), IntMatrix.zeros(0, 0))
 
     delta = (s.twice + 2 * n + 1) // 2  # j - i, an integer in [1, 2n]
-    gens: list[LongitudeGenerator] = []
-    for kind in ("x", "y"):
-        for j in range(delta + 1, 2 * n + 2):
-            gens.append(LongitudeGenerator(kind, j - delta, j, n))
-
-    index = {(g.kind, g.j): pos for pos, g in enumerate(gens)}
+    gens = [(kind, j) for kind in ("x", "y") for j in range(delta + 1, 2 * n + 2)]
+    index = {g: pos for pos, g in enumerate(gens)}
     size = len(gens)
     entries = [[0] * size for _ in range(size)]
-    for pos, g in enumerate(gens):
-        if g.j % 2 == 0:
+    for pos, (kind, j) in enumerate(gens):
+        if j % 2 == 0:
             continue
-        if g.kind == "x" and g.i >= 2:
-            entries[index[("x", g.j - 1)]][pos] = 1
-        elif g.kind == "y" and g.j + 1 <= 2 * n + 1:
-            entries[index[("y", g.j + 1)]][pos] = 1
+        if kind == "x" and j - delta >= 2:
+            entries[index[("x", j - 1)]][pos] = 1
+        elif kind == "y" and j + 1 <= 2 * n + 1:
+            entries[index[("y", j + 1)]][pos] = 1
 
-    generators = [Generator(g.label, g.spinc, g.maslov) for g in gens]
+    generators = []
+    for kind, j in gens:
+        base = 2 * (j - n) - 3
+        maslov = HalfInt.from_twice(base if kind == "x" else -base)
+        generators.append(Generator(f"{kind}({j - delta},{j})", s, maslov))
     return GradedComplex(generators, IntMatrix(entries, cols=size))
 
 
@@ -150,23 +115,22 @@ def _relative_profile(table: HomologyTable, s: HalfInt) -> tuple:
     return tuple(sorted((t - base, rank, tors) for t, rank, tors in rows))
 
 
-def verify_symmetry(n: int) -> bool:
-    """Check that class s and class -s agree as relatively graded groups."""
-    table = hfl_compute(n)
-    for s in spinc_classes(n):
-        if _relative_profile(table, s) != _relative_profile(table, -s):
-            return False
-    return True
+def verify_symmetry(n: int, table: HomologyTable) -> bool:
+    """Check that classes s and -s of hfl_compute(n) agree, relatively graded."""
+    return all(
+        _relative_profile(table, s) == _relative_profile(table, -s)
+        for s in spinc_classes(n)
+    )
 
 
-def verify_genus_and_fibered(n: int) -> bool:
+def verify_genus_and_fibered(n: int, table: HomologyTable) -> bool:
     """Genus detection for T(2,2n+1), which is fibered of genus n.
 
-    The classes +-(n - 1/2) must carry Z + Z (total rank 2, no torsion)
-    and the complexes in the classes +-(n + 1/2) and +-(n + 3/2), the
-    nearest ones above the genus bound, must be empty.
+    In the table hfl_compute(n), the classes +-(n - 1/2) must carry
+    Z + Z (total rank 2, no torsion); the complexes in the classes
+    +-(n + 1/2) and +-(n + 3/2), the nearest ones above the genus bound,
+    must be empty.
     """
-    table = hfl_compute(n)
     for sign in (1, -1):
         edge = HalfInt.from_twice(sign * (2 * n - 1))
         at_edge = table.restrict(edge)

@@ -81,9 +81,6 @@ class IntMatrix:
         ]
         return IntMatrix(out, cols=other.cols)
 
-    def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        return self.mul(other)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> IntMatrix:
         out = [[self.data[i][j] for j in col_idx] for i in row_idx]
         return IntMatrix(out, cols=len(col_idx))
@@ -91,35 +88,10 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ A @ V == D with U, V unimodular and D a Smith form of A."""
+    """U A V == D with U, V unimodular and D a Smith form of A."""
 
     u: IntMatrix
     d: IntMatrix
@@ -262,8 +234,3 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(
         u=IntMatrix(u, cols=m), d=IntMatrix(d, cols=n), v=IntMatrix(v, cols=n)
     )
-
-
-def rank(a: IntMatrix) -> int:
-    """Rank over Z (equivalently over Q) via the Smith form."""
-    return smith_normal_form(a).rank()

@@ -8,10 +8,13 @@ Alexander polynomial.
 
 The knot Floer homology of the Whitehead double of T(2,2n+1) in its
 outermost Spin^c structures (+-1) equals the total longitude Floer
-homology of the companion with the Spin^c coordinate forgotten.  Both
-sides are only relatively Maslov graded; the table here shifts every
-grading by +1/2 so the labels land on the integers used for the double:
-rank 2 at n, n-2, ..., -n+2 and rank 2n at -n+1.
+homology of the companion with the Spin^c coordinate forgotten.  So
+whitehead_from_hfl derives the double's table from an already computed
+hfl_compute(n) table, and whitehead_hfk_one(n) is that derivation
+applied to a fresh hfl_compute(n).  Both sides are only relatively
+Maslov graded; the table here shifts every grading by +1/2 so the labels
+land on the integers used for the double: rank 2 at n, n-2, ..., -n+2
+and rank 2n at -n+1.
 """
 
 from __future__ import annotations
@@ -63,22 +66,22 @@ def torus_alexander(n: int) -> LaurentPoly:
     )
 
 
-def whitehead_hfk_one(n: int) -> HomologyTable:
-    """Knot Floer table of the Whitehead double of T(2,2n+1) at Spin^c +-1.
+def whitehead_from_hfl(table: HomologyTable) -> HomologyTable:
+    """Knot Floer table of the Whitehead double at Spin^c +-1, from hfl_compute(n).
 
-    Collapses hfl_compute(n) over Spin^c classes and shifts all Maslov
+    Collapses the table over Spin^c classes and shifts all Maslov
     gradings by +1/2 onto integer labels.
     """
-    collapsed: dict[tuple[HalfInt, HalfInt], GroupSummand] = {}
-    for (_, maslov), summand in hfl_compute(n).items():
+    collapsed = HomologyTable()
+    for (_, maslov), summand in table.items():
         key = (WHITEHEAD_SPINC, maslov + HalfInt(1, 2))
-        if key in collapsed:
-            prev = collapsed[key]
-            summand = GroupSummand(
-                prev.free_rank + summand.free_rank, prev.torsion + summand.torsion
-            )
-        collapsed[key] = summand
-    return HomologyTable(collapsed)
+        collapsed = collapsed.merged(HomologyTable({key: summand}))
+    return collapsed
+
+
+def whitehead_hfk_one(n: int) -> HomologyTable:
+    """Knot Floer table of the Whitehead double of T(2,2n+1) at Spin^c +-1."""
+    return whitehead_from_hfl(hfl_compute(n))
 
 
 def whitehead_closed_form(n: int) -> HomologyTable:

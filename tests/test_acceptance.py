@@ -75,7 +75,7 @@ def test_criterion_2_triviality_above_genus():
 
 
 def test_criterion_3_symmetry():
-    ok = all(verify_symmetry(n) for n in N_RANGE)
+    ok = all(verify_symmetry(n, hfl_compute(n)) for n in N_RANGE)
     assert report("3. class s and class -s agree relatively for n in 1..10", ok)
 
 

@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 import hflkit.cli as cli
+import hflkit.longitude as longitude
 from hflkit import HomologyTable
 from hflkit.cli import main
 
@@ -74,6 +75,7 @@ def test_hfl_class_above_genus_is_empty(capsys):
         ("verify", "--max-n", "0"),
         ("alexander", "satellite", "--companion", "x+", "--pattern", "1", "--winding", "0"),
         ("alexander", "satellite", "--companion", "1+2t", "--pattern", "1", "--winding", "0"),
+        ("kauffman", "--pd", "X(1,1,2,3),X(2,4,3,4),mark=1"),  # not planar
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -159,11 +161,33 @@ def test_verify_passes(capsys):
 
 
 def test_verify_failure_names_culprit(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "verify_symmetry", lambda n: n != 2)
+    monkeypatch.setattr(cli, "verify_symmetry", lambda n, table: n != 2)
     code, out, err = run(capsys, "verify", "--max-n", "3")
     assert code == 1
     assert "symmetry[n=2]" in err
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "argv,calls",
+    [
+        (("verify", "--max-n", "3"), 2 + 4 + 6),  # one table per n, 2n classes each
+        (("hfl", "--n", "3", "--spinc", "1/2"), 1),
+    ],
+)
+def test_each_class_homology_is_computed_once(capsys, monkeypatch, argv, calls):
+    real = longitude.homology
+    seen = []
+
+    def counting(cx):
+        seen.append(cx)
+        return real(cx)
+
+    monkeypatch.setattr(longitude, "homology", counting)
+    monkeypatch.setattr(cli, "homology", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(seen) == calls
 
 
 def test_internal_invariant_breach_exits_3(capsys, monkeypatch):
@@ -186,6 +210,8 @@ def test_json_output_is_byte_stable(capsys):
         ("whitehead-n2.json", ["whitehead", "--n", "2"]),
         ("alexander-torus-n2.json", ["alexander", "torus", "--n", "2"]),
         ("kauffman-n1-list.json", ["kauffman", "--n", "1", "--list"]),
+        ("verify-max-n3.json", ["verify", "--max-n", "3"]),
+        ("hfl-n2-spinc-m1_2.json", ["hfl", "--n", "2", "--spinc", "-1/2"]),
     ],
 )
 def test_golden_files(capsys, name, argv):

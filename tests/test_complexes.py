@@ -238,3 +238,28 @@ def test_table_merge_and_views():
     assert merged.spinc_classes() == [H(-1, 2), H(1, 2)]
     assert merged.restrict(H(-1, 2)).total_free_rank() == 1
     assert HomologyTable({(H(0), H(0)): (0, ())}) == HomologyTable()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        {"generators": []},
+        {"generators": [{"label": "x"}], "differential": []},
+        {"generators": [], "differential": [[0, 0, 1]]},
+        {"generators": [{"label": "x", "spinc": {"twice": 1}, "maslov": {"twice": 0}}],
+         "differential": [[-1, 0, 1]]},
+        {"generators": [{"label": "x", "spinc": {"twice": 1}, "maslov": {"twice": 0}}],
+         "differential": [[0, 0, 1], [0, 0, 2]]},
+        {"generators": [{"label": "x", "spinc": {"twice": 1}, "maslov": {"twice": 0}}],
+         "differential": [[0, 0, 1.5]]},
+        {"generators": [{"label": "x", "spinc": {"twice": 1}, "maslov": {"twice": 0}}],
+         "differential": [[0, 0]]},
+    ],
+    ids=["empty", "no-differential", "no-gradings", "out-of-range",
+         "negative-index", "duplicate", "float-coefficient", "short-triplet"],
+)
+def test_from_json_rejects_malformed(doc):
+    with pytest.raises(MalformedComplexError) as info:
+        GradedComplex.from_json_dict(doc)
+    assert "\n" not in str(info.value)

@@ -3,7 +3,6 @@ import pytest
 from hflkit import (
     GroupSummand,
     HalfInt,
-    LongitudeGenerator,
     build_hfl_complex,
     epsilon,
     euler_characteristic,
@@ -29,21 +28,11 @@ def arrows_of(cx):
 
 
 def test_generator_gradings():
-    x = LongitudeGenerator("x", 2, 4, 2)
-    y = LongitudeGenerator("y", 2, 4, 2)
+    gens = {g.label: g for g in build_hfl_complex(2, H(-1, 2)).generators}
+    x, y = gens["x(2,4)"], gens["y(2,4)"]
     assert x.spinc == y.spinc == H(-1, 2)
     assert x.maslov == H(1, 2)
     assert y.maslov == H(-1, 2)
-    assert x.label == "x(2,4)"
-
-
-def test_generator_validation():
-    with pytest.raises(ValueError):
-        LongitudeGenerator("z", 1, 1, 1)
-    with pytest.raises(ValueError):
-        LongitudeGenerator("x", 0, 1, 1)
-    with pytest.raises(ValueError):
-        LongitudeGenerator("x", 1, 4, 1)  # j > 2n+1
 
 
 def test_top_class_two_generators_no_arrows():
@@ -129,7 +118,7 @@ def test_total_rank_is_4n():
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_symmetry(n):
-    assert verify_symmetry(n)
+    assert verify_symmetry(n, hfl_compute(n))
 
 
 def test_symmetry_of_edge_classes_is_on_the_nose():
@@ -141,7 +130,7 @@ def test_symmetry_of_edge_classes_is_on_the_nose():
 
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_genus_and_fibered(n):
-    assert verify_genus_and_fibered(n)
+    assert verify_genus_and_fibered(n, hfl_compute(n))
 
 
 def test_per_class_euler_characteristic_vanishes():

@@ -123,11 +123,8 @@ def test_random_matrices_against_minor_gcd_oracle():
 
 def test_matrix_utilities():
     a = IntMatrix([[1, 2], [3, 4]])
-    assert a.det() == -2
     assert a.mul(IntMatrix.identity(2)) == a
     assert a.submatrix([1], [0, 1]) == IntMatrix([[3, 4]])
     assert IntMatrix.zeros(2, 2).is_zero()
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        IntMatrix([[1, 2]]).det()
