@@ -54,19 +54,12 @@ class UsageError(Exception):
     pass
 
 
-class InternalInvariantError(Exception):
-    pass
-
-
 @dataclass
 class ReportDocument:
     command: str
     inputs: dict[str, Any]
     result: dict[str, Any]
     checks: list[dict[str, Any]] = field(default_factory=list)
-
-    def all_passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
 
     def to_json(self) -> str:
         doc = {
@@ -145,7 +138,7 @@ def _require_positive(value: int, flag: str) -> int:
     return value
 
 
-def cmd_hfl(args: argparse.Namespace) -> tuple[ReportDocument, int]:
+def cmd_hfl(args: argparse.Namespace) -> ReportDocument:
     n = _require_positive(args.n, "--n")
     wanted = _parse_spinc(args.spinc) if args.spinc else None
 
@@ -162,7 +155,7 @@ def cmd_hfl(args: argparse.Namespace) -> tuple[ReportDocument, int]:
     result["closed_form"] = closed.to_json_list()
 
     agreement = computed == closed
-    report = ReportDocument(
+    return ReportDocument(
         command="hfl",
         inputs={"n": n, "spinc": str(wanted) if wanted is not None else None},
         result=result,
@@ -176,20 +169,16 @@ def cmd_hfl(args: argparse.Namespace) -> tuple[ReportDocument, int]:
             )
         ],
     )
-    if not agreement:
-        raise InternalInvariantError(report.to_table())
-    return report, EXIT_OK
 
 
-def cmd_whitehead(args: argparse.Namespace) -> tuple[ReportDocument, int]:
+def cmd_whitehead(args: argparse.Namespace) -> ReportDocument:
     n = _require_positive(args.n, "--n")
     computed = whitehead_hfk_one(n)
     expected = whitehead_closed_form(n)
     ranks = {
         str(m): e.free_rank for (_, m), e in computed.items()
     }
-    agreement = computed == expected
-    report = ReportDocument(
+    return ReportDocument(
         command="whitehead",
         inputs={"n": n},
         result={
@@ -199,49 +188,41 @@ def cmd_whitehead(args: argparse.Namespace) -> tuple[ReportDocument, int]:
         checks=[
             _check(
                 "closed_form_agreement",
-                agreement,
+                computed == expected,
                 f"total rank {computed.total_free_rank()}",
             )
         ],
     )
-    if not agreement:
-        raise InternalInvariantError(report.to_table())
-    return report, EXIT_OK
 
 
-def cmd_alexander_torus(args: argparse.Namespace) -> tuple[ReportDocument, int]:
+def cmd_alexander_torus(args: argparse.Namespace) -> ReportDocument:
     n = _require_positive(args.n, "--n")
     from .kauffman import alexander_from_states
 
     closed = torus_alexander(n)
     state_sum = alexander_from_states(n)
-    agreement = closed == state_sum
-    report = ReportDocument(
+    return ReportDocument(
         command="alexander torus",
         inputs={"n": n},
         result={"polynomial": _poly_json(closed)},
         checks=[
             _check(
                 "state_sum_match",
-                agreement,
+                closed == state_sum,
                 "closed form equals the Kauffman state sum",
             )
         ],
     )
-    if not agreement:
-        raise InternalInvariantError(report.to_table())
-    return report, EXIT_OK
 
 
-def cmd_alexander_satellite(args: argparse.Namespace) -> tuple[ReportDocument, int]:
+def cmd_alexander_satellite(args: argparse.Namespace) -> ReportDocument:
     try:
         companion = LaurentPoly.parse(args.companion)
         pattern = LaurentPoly.parse(args.pattern)
-        spec = SatelliteSpec(companion, pattern, args.winding)
+        poly = satellite_alexander(SatelliteSpec(companion, pattern, args.winding))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    poly = satellite_alexander(spec)
-    report = ReportDocument(
+    return ReportDocument(
         command="alexander satellite",
         inputs={
             "companion": str(companion),
@@ -253,10 +234,9 @@ def cmd_alexander_satellite(args: argparse.Namespace) -> tuple[ReportDocument, i
             _check("symmetric", poly.is_symmetric(), "result is t -> 1/t symmetric")
         ],
     )
-    return report, EXIT_OK
 
 
-def cmd_kauffman(args: argparse.Namespace) -> tuple[ReportDocument, int]:
+def cmd_kauffman(args: argparse.Namespace) -> ReportDocument:
     if args.pd:
         try:
             diagram = PlanarDiagram.from_text(args.pd)
@@ -273,12 +253,7 @@ def cmd_kauffman(args: argparse.Namespace) -> tuple[ReportDocument, int]:
             result["states"] = [
                 {"marks": [list(mark) for mark in st.marks]} for st in states
             ]
-        return (
-            ReportDocument(
-                command="kauffman", inputs={"pd": args.pd}, result=result
-            ),
-            EXIT_OK,
-        )
+        return ReportDocument(command="kauffman", inputs={"pd": args.pd}, result=result)
 
     if args.n is None:
         raise UsageError("one of --n or --pd is required")
@@ -302,7 +277,7 @@ def cmd_kauffman(args: argparse.Namespace) -> tuple[ReportDocument, int]:
             for i, (st, s, m) in enumerate(graded)
         ]
     expected = 2 * n + 1
-    report = ReportDocument(
+    return ReportDocument(
         command="kauffman",
         inputs={"n": n, "list": bool(args.list)},
         result=result,
@@ -314,9 +289,6 @@ def cmd_kauffman(args: argparse.Namespace) -> tuple[ReportDocument, int]:
             )
         ],
     )
-    if len(graded) != expected:
-        raise InternalInvariantError(report.to_table())
-    return report, EXIT_OK
 
 
 def run_verification(max_n: int) -> list[dict[str, Any]]:
@@ -366,11 +338,10 @@ def run_verification(max_n: int) -> list[dict[str, Any]]:
     return checks
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[ReportDocument, int]:
+def cmd_verify(args: argparse.Namespace) -> ReportDocument:
     max_n = _require_positive(args.max_n, "--max-n")
     checks = run_verification(max_n)
-    passed = all(c["passed"] for c in checks)
-    report = ReportDocument(
+    return ReportDocument(
         command="verify",
         inputs={"max_n": max_n},
         result={
@@ -379,14 +350,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[ReportDocument, int]:
         },
         checks=checks,
     )
-    if not passed:
-        first = next(c for c in checks if not c["passed"])
-        print(
-            f"verification failed: {first['name']} {first['detail']}".rstrip(),
-            file=sys.stderr,
-        )
-        return report, EXIT_CHECK_FAILED
-    return report, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -477,16 +440,24 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        report, code = args.handler(args)
+        report = args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InternalInvariantError as exc:
-        print(f"internal invariant violated:\n{exc}", file=sys.stderr)
+    # A failed verify check is a verification failure; a failed check in any
+    # other command means two computations disagree, an internal invariant.
+    failed = [c for c in report.checks if not c["passed"]]
+    if failed and report.command != "verify":
+        print(f"internal invariant violated:\n{report.to_table()}", file=sys.stderr)
         return EXIT_INTERNAL
-    out = report.to_json() if args.format == "json" else report.to_table()
-    sys.stdout.write(out)
-    return code
+    if failed:
+        first = failed[0]
+        print(
+            f"verification failed: {first['name']} {first['detail']}".rstrip(),
+            file=sys.stderr,
+        )
+    sys.stdout.write(report.to_json() if args.format == "json" else report.to_table())
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -6,9 +6,13 @@ half-integers.  The differential is an integer matrix whose column g
 holds the boundary of generator g; every nonzero entry must preserve
 the Spin^c label and drop the Maslov grading by exactly 1.
 
-Homology is computed gradewise from Smith normal forms: at grading m the
-free rank is dim - rank(outgoing) - rank(incoming) and the torsion is
-read off the invariant factors (> 1) of the incoming block.
+Once the grading rules hold, the differential is a set of blocks
+d_(s,m): C_(s,m) -> C_(s,m-1), one per grading (see
+:meth:`GradedComplex.blocks`), and everything else works on those
+blocks alone.  d^2 = 0 is checked as d_(s,m-1) d_(s,m) = 0 for each
+pair of consecutive blocks.  Homology takes one Smith normal form per
+block: at grading m the free rank is dim - rank(d_m) - rank(d_(m+1))
+and the torsion is read off the invariant factors (> 1) of d_(m+1).
 
 Euler characteristics use the fixed sign convention (-1)^floor(maslov);
 only relative Maslov gradings are canonical, so the overall sign of the
@@ -73,8 +77,23 @@ class GradedComplex:
                         f"arrow {src.label} -> {dst.label} does not drop "
                         f"the Maslov grading by 1"
                     )
-        if not d.mul(d).is_zero():
-            raise MalformedComplexError("differential does not square to zero")
+        blocks = self.blocks()
+        for (s, m), block in blocks.items():
+            below = blocks.get((s, m - 1))
+            if below is not None and not below.mul(block).is_zero():
+                raise MalformedComplexError("differential does not square to zero")
+
+    def blocks(self) -> dict[tuple[HalfInt, HalfInt], IntMatrix]:
+        """For each grading (s, m), the block of d from (s, m) to (s, m - 1).
+
+        These blocks hold every nonzero entry of d once validate's grading
+        rules hold.
+        """
+        groups = self.grading_index()
+        return {
+            (s, m): self.differential.submatrix(groups.get((s, m - 1), []), here)
+            for (s, m), here in groups.items()
+        }
 
     def grading_index(self) -> dict[tuple[HalfInt, HalfInt], list[int]]:
         groups: dict[tuple[HalfInt, HalfInt], list[int]] = {}
@@ -245,19 +264,16 @@ def homology(cx: GradedComplex) -> HomologyTable:
     invariants (see GradedComplex.validate).
     """
     cx.validate()
-    groups = cx.grading_index()
-    d = cx.differential
-    entries: dict[tuple[HalfInt, HalfInt], GroupSummand] = {}
-    for (s, m), here in groups.items():
-        below = groups.get((s, m - 1), [])
-        above = groups.get((s, m + 1), [])
-        outgoing = d.submatrix(below, here)
-        incoming = d.submatrix(here, above)
-        snf_in = smith_normal_form(incoming)
-        free = len(here) - smith_normal_form(outgoing).rank() - snf_in.rank()
-        torsion = tuple(f for f in snf_in.invariant_factors() if f > 1)
-        if free or torsion:
-            entries[(s, m)] = GroupSummand(free, torsion)
+    blocks = cx.blocks()
+    factors = {
+        key: smith_normal_form(block).invariant_factors()
+        for key, block in blocks.items()
+    }
+    entries = {}
+    for (s, m), block in blocks.items():
+        incoming = factors.get((s, m + 1), ())
+        free = block.cols - len(factors[(s, m)]) - len(incoming)
+        entries[(s, m)] = GroupSummand(free, tuple(f for f in incoming if f > 1))
     return HomologyTable(entries)
 
 

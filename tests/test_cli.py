@@ -76,6 +76,8 @@ def test_hfl_class_above_genus_is_empty(capsys):
         ("alexander", "satellite", "--companion", "x+", "--pattern", "1", "--winding", "0"),
         ("alexander", "satellite", "--companion", "1+2t", "--pattern", "1", "--winding", "0"),
         ("kauffman", "--pd", "X(1,1,2,3),X(2,4,3,4),mark=1"),  # not planar
+        # t^(1/2) makes the product uncenterable by a whole shift
+        ("alexander", "satellite", "--companion", "1 + t^1/2", "--pattern", "1", "--winding", "1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -263,3 +263,136 @@ def test_from_json_rejects_malformed(doc):
     with pytest.raises(MalformedComplexError) as info:
         GradedComplex.from_json_dict(doc)
     assert "\n" not in str(info.value)
+
+
+def invariant_factors(orders):
+    """Invariant factors > 1, ascending, of the sum of Z/k for k in orders,
+    found by factoring each k into prime powers (no Smith form involved)."""
+    powers: dict[int, list[int]] = {}
+    for k in orders:
+        p = 2
+        while k > 1:
+            q = 1
+            while k % p == 0:
+                k, q = k // p, q * p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    columns = [sorted(qs, reverse=True) for qs in powers.values()]
+    width = max(map(len, columns), default=0)
+    factors = [1] * width
+    for qs in columns:
+        for i, q in enumerate(qs):
+            factors[i] *= q
+    return tuple(reversed(factors))
+
+
+def random_chain(rng: random.Random) -> tuple[GradedComplex, HomologyTable]:
+    """A direct sum of pieces x -> k*y and free generators in several Spin^c
+    classes, each over three to five consecutive Maslov levels, seen in a
+    basis mixed by unimodular changes within each grading; returns it with
+    the homology known from the pieces."""
+    gens, arrows, free, orders = [], [], {}, {}
+    for cls in range(rng.randint(2, 3)):
+        s = H.from_twice(2 * cls - 1)
+        low = rng.randint(-2, 1)
+        levels = [H(low + k) for k in range(rng.randint(3, 5))]
+        for m in levels:
+            for _ in range(rng.randint(0, 2)):
+                gens.append((f"f{len(gens)}", s, m))
+                free[(s, m)] = free.get((s, m), 0) + 1
+        for m in levels[:-1]:
+            for _ in range(rng.randint(1, 3)):
+                k = rng.choice([1, -1, 2, -2, 3, 4, 6, -9])
+                arrows.append((len(gens), len(gens) + 1, k))
+                gens += [(f"x{len(gens)}", s, m + 1), (f"y{len(gens)}", s, m)]
+                orders.setdefault((s, m), []).append(abs(k))
+    n = len(gens)
+    d = [[0] * n for _ in range(n)]
+    for src, dst, k in arrows:
+        d[dst][src] = k
+    # d -> E d E^-1 for E = I + c*e_i*e_j^T with i, j in one grading: the same
+    # complex, up to isomorphism, in a mixed basis.
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j or gens[i][1:] != gens[j][1:]:
+            continue
+        c = rng.choice([1, -1, 2])
+        for col in range(n):
+            d[i][col] += c * d[j][col]
+        for row in range(n):
+            d[row][j] -= c * d[row][i]
+    order = list(range(n))
+    rng.shuffle(order)
+    cx = make(
+        [gens[i] for i in order],
+        {
+            gens[c][0]: [(gens[r][0], d[r][c]) for r in range(n) if d[r][c]]
+            for c in range(n)
+        },
+    )
+    keys = set(free) | set(orders)
+    expected = HomologyTable(
+        {key: (free.get(key, 0), invariant_factors(orders.get(key, ()))) for key in keys}
+    )
+    return cx, expected
+
+
+def test_chains_over_three_levels_have_the_homology_of_their_pieces():
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for _ in range(40):
+            cx, expected = random_chain(rng)
+            assert homology(cx) == expected
+
+
+def test_validate_rejects_exactly_when_whole_matrix_d_squared_is_nonzero():
+    rng = random.Random(5)
+    outcomes = []
+    for _ in range(100):
+        cx, _ = random_chain(rng)
+        gens = cx.generators
+        arrows = [
+            (r, c)
+            for r in range(len(gens))
+            for c in range(len(gens))
+            if gens[r].spinc == gens[c].spinc
+            and gens[c].maslov - gens[r].maslov == H(1)
+        ]
+        r, c = rng.choice(arrows)
+        rows = [list(row) for row in cx.differential.data]
+        rows[r][c] += rng.choice([1, -1, 2])
+        d = IntMatrix(rows, cols=len(gens))
+        bad = GradedComplex(gens, d)
+        squares_to_zero = d.mul(d).is_zero()
+        try:
+            bad.validate()
+            raised = False
+        except MalformedComplexError as exc:
+            assert str(exc) == "differential does not square to zero"
+            raised = True
+        assert raised == (not squares_to_zero)
+        outcomes.append(raised)
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("which", ["longitude", "torsion"])
+def test_homology_takes_one_smith_form_per_grading(monkeypatch, which):
+    import hflkit.complexes as complexes
+    from hflkit import build_hfl_complex
+
+    if which == "longitude":
+        cx = build_hfl_complex(3, H(1, 2))
+    else:
+        cx, _ = random_chain(random.Random(2))
+    assert homology(cx).has_torsion() == (which == "torsion")
+    real = complexes.smith_normal_form
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(complexes, "smith_normal_form", counting)
+    homology(cx)
+    assert len(calls) == len(cx.grading_index())
